@@ -57,7 +57,7 @@ echo "==> commit fast paths (bounded): property oracle + quick gated run"
 if ! cargo test -q -p tabs-chaos --test prop_fastpath; then
     echo "fast-path property suite failed: the proptest output above carries" >&2
     echo "the minimal failing schedule; the differential oracle compares the" >&2
-    echo "same schedule under CommitPathPolicy::Seed and ::Fast" >&2
+    echo "same schedule under CommitPathPolicy::Fast and ::Full" >&2
     exit 1
 fi
 cargo run -q -p tabs-bench --release --bin tables -- fastpath --quick

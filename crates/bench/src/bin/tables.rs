@@ -572,7 +572,6 @@ fn chaos(flags: &Flags) -> i32 {
         .sweep_single_node()
         .map(|k| killed.extend(k))
         .and_then(|()| runner.sweep_group_commit().map(|k| killed.extend(k)))
-        .and_then(|()| runner.sweep_fastpath().map(|k| killed.extend(k)))
         .and_then(|()| runner.sweep_distributed().map(|k| killed.extend(k)))
         .and_then(|()| runner.sweep_migration().map(|k| killed.extend(k)))
         .and_then(|()| runner.sweep_replication().map(|k| killed.extend(k)))

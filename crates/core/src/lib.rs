@@ -36,7 +36,7 @@ pub use tabs_obs::{
 pub use tabs_proto::{Deadline, DeadlinePolicy, RetryBudget, RetryPolicy};
 pub use tabs_rm::{RecoveryManager, RecoveryReport};
 pub use tabs_server_lib::{DataServer, Dispatch, OpCtx, ServerConfig, ServerDeps};
-pub use tabs_tm::{CommitPathPolicy, ReplicationPolicy, TmTimeouts, TransactionManager};
+pub use tabs_tm::{CommitPathPolicy, TmTimeouts, TransactionManager};
 pub use tabs_wal::GroupCommitConfig;
 
 /// Commonly used items for applications and data servers.
@@ -55,6 +55,22 @@ pub mod prelude {
 
 /// Per-node persistent name → (segment index, pages) table.
 type SegTable = HashMap<String, (u32, u32)>;
+
+/// The replicated-participant commit integration, switched on for every
+/// booted node by [`ClusterConfig::replication`]. It is one switch with
+/// no settings: `Some(ReplicationPolicy::enabled())` turns on both the
+/// majority vote waiver and dead-member ack abandonment, `None` turns
+/// both off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct ReplicationPolicy;
+
+impl ReplicationPolicy {
+    /// The replication integration, on.
+    pub fn enabled() -> Self {
+        Self
+    }
+}
 
 /// Cluster-wide configuration. Construct with [`ClusterConfig::default`]
 /// and the builder methods; the struct is `#[non_exhaustive]` so new knobs
@@ -101,10 +117,10 @@ pub struct ClusterConfig {
     /// default) keeps the seed behaviour — time-outs only.
     pub heartbeat: Option<HeartbeatConfig>,
     /// Commit-path selection for every booted node's Transaction Manager:
-    /// [`CommitPathPolicy::Seed`] (the default) keeps the historical path
-    /// byte for byte, `Fast` labels and instruments the 1PC / read-only
-    /// fast paths, `Full` runs the pessimistic full-2PC baseline the
-    /// `fastpath` bench compares against.
+    /// [`CommitPathPolicy::Fast`] (the default) commits a sole writer in
+    /// one phase and lets S-lock-only participants vote read-only;
+    /// `Full` runs the pessimistic full-2PC baseline the `fastpath` bench
+    /// compares against.
     pub commit_paths: CommitPathPolicy,
     /// When set, every booted node's Transaction Manager treats a
     /// registered replica set as one logical 2PC participant: missing
@@ -143,7 +159,7 @@ impl Default for ClusterConfig {
             detect: false,
             group_commit: None,
             heartbeat: None,
-            commit_paths: CommitPathPolicy::Seed,
+            commit_paths: CommitPathPolicy::Fast,
             replication: None,
             deadlines: None,
             admission_limit: None,
@@ -427,19 +443,14 @@ impl Cluster {
         let rm = RecoveryManager::new(id, log, Arc::clone(&pool), Arc::clone(&perf));
         pool.set_gate(rm.gate());
         let tm = TransactionManager::new(id, incarnation, Arc::clone(&rm), Arc::clone(&perf));
-        if self.config.commit_paths != CommitPathPolicy::Seed {
-            tm.set_commit_paths(self.config.commit_paths);
-            if self.config.commit_paths == CommitPathPolicy::Fast {
-                let metrics = self.metrics(id);
-                tm.set_fastpath_metrics(
-                    metrics.counter("tm.commit.1pc"),
-                    metrics.counter("tm.prepare.readonly"),
-                );
-            }
-        }
-        if let Some(policy) = self.config.replication {
-            tm.set_replication(policy);
-            let metrics = self.metrics(id);
+        tm.set_commit_paths(self.config.commit_paths);
+        let metrics = self.metrics(id);
+        tm.set_fastpath_metrics(
+            metrics.counter("tm.commit.1pc"),
+            metrics.counter("tm.prepare.readonly"),
+        );
+        if self.config.replication.is_some() {
+            tm.set_replication(true);
             tm.set_replication_metrics(
                 metrics.counter("tm.rep.quorum_commits"),
                 metrics.counter("tm.rep.acks_abandoned"),

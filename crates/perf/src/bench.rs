@@ -462,6 +462,28 @@ mod tests {
         assert!((w.commit_counts[PrimitiveOp::StableStorageWrite as usize] - 1.0).abs() < 0.01);
         assert!(w.pre_counts[PrimitiveOp::SmallContiguousMessage as usize] > 0.0);
 
+        // Commit-phase forces and datagrams for every Table 5-3 row: a
+        // sole writer commits in one phase, read-only voters skip phase 2,
+        // and each remote writer adds a forced prepare and commit record
+        // plus four datagrams (prepare, vote, commit, ack).
+        for (class, forces, datagrams) in [
+            (CommitClass::OneNodeRead, 0.0, 0.0),
+            (CommitClass::OneNodeWrite, 1.0, 0.0),
+            (CommitClass::TwoNodeRead, 0.0, 2.0),
+            (CommitClass::TwoNodeWrite, 3.0, 4.0),
+            (CommitClass::ThreeNodeRead, 0.0, 4.0),
+            (CommitClass::ThreeNodeWrite, 5.0, 8.0),
+        ] {
+            let bench = all.iter().find(|b| b.commit_class == class).unwrap();
+            let c = run(bench, &world, 3, 10).commit_counts;
+            let row = class.label();
+            assert!(
+                (c[PrimitiveOp::StableStorageWrite as usize] - forces).abs() < 0.01,
+                "{row}: {c:?}"
+            );
+            assert!((c[PrimitiveOp::Datagram as usize] - datagrams).abs() < 0.51, "{row}: {c:?}");
+        }
+
         world.shutdown();
     }
 

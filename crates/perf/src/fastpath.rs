@@ -109,7 +109,6 @@ impl FastpathRun {
     /// Label used in report rows.
     pub fn policy_label(&self) -> &'static str {
         match self.policy {
-            CommitPathPolicy::Seed => "seed",
             CommitPathPolicy::Fast => "fast-path",
             CommitPathPolicy::Full => "full-2pc",
         }

@@ -294,8 +294,7 @@ impl RecoveryManager {
     pub fn log_prepare(&self, tid: Tid, coordinator: NodeId) -> Result<Lsn, RmError> {
         self.count_msg(24);
         crash_point!(&self.crash, "rm.prepare.before");
-        let lsn = self.log.append(LogRecord::Prepare { tid, coordinator });
-        self.log.force_batched(lsn)?;
+        let lsn = self.log.append_commit(LogRecord::Prepare { tid, coordinator })?;
         crash_point!(&self.crash, "rm.prepare.after");
         Ok(lsn)
     }
@@ -307,8 +306,7 @@ impl RecoveryManager {
     pub fn log_commit(&self, tid: Tid) -> Result<Lsn, RmError> {
         self.count_msg(16);
         crash_point!(&self.crash, "rm.commit.before");
-        let lsn = self.log.append(LogRecord::Commit { tid });
-        self.log.force_batched(lsn)?;
+        let lsn = self.log.append_commit(LogRecord::Commit { tid })?;
         crash_point!(&self.crash, "rm.commit.after");
         self.emit(tid, TraceEvent::TxnCommit);
         Ok(lsn)

@@ -42,7 +42,7 @@ use tabs_lock::{DeadlockPolicy, LockError, LockManager, StdMode};
 use tabs_obs::{Counter, TraceCollector};
 use tabs_proto::{Deadline, RequestRef, ServerError};
 use tabs_rm::{OperationHandler, RecoveryManager};
-use tabs_tm::{CommitPathPolicy, Participant, TransactionManager};
+use tabs_tm::{Participant, TransactionManager};
 
 use tabs_codec::DecodeRef;
 
@@ -488,16 +488,11 @@ impl Participant for ServerParticipant {
             if !ctx.buffered.is_empty() {
                 return Err(format!("transaction {tid} has unlogged buffered objects"));
             }
-            let mut updates = ctx.updates;
-            if !updates && self.inner.tm.commit_paths() == CommitPathPolicy::Fast {
-                // Fast policy: the read-only voter drop-out additionally
-                // requires that nothing stronger than an S-lock is held
-                // here — the lock manager's classification, belt and
-                // braces over the updates flag (writes always take X
-                // locks, so the answer matches the seed path).
-                updates = !self.inner.locks.holds_only_shared(tid);
-            }
-            Ok(updates)
+            // The read-only voter drop-out additionally requires that
+            // nothing stronger than an S-lock is held here — the lock
+            // manager's classification, belt and braces over the updates
+            // flag (writes always take X locks, so the answers agree).
+            Ok(ctx.updates || !self.inner.locks.holds_only_shared(tid))
         } else {
             Ok(false)
         }

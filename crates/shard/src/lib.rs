@@ -31,7 +31,7 @@
 //!   map: the router fans writes out to every member (each a 2PC
 //!   participant, majority required), the Transaction Manager waives
 //!   votes from dead members once a majority of their set is durable
-//!   (see `tabs_tm::ReplicationPolicy`), reads fail over from a dead
+//!   (see `tabs_core::ReplicationPolicy`), reads fail over from a dead
 //!   leader to a follower, and [`Replicator`] resynchronizes a
 //!   rejoined member from a survivor ([`REP_CRASH_POINTS`]).
 

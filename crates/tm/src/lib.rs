@@ -208,24 +208,18 @@ impl Default for TmTimeouts {
 
 /// Which commit path the Transaction Manager takes at top-level commit.
 ///
-/// The protocol *decisions* are identical under `Seed` and `Fast` — the
-/// seed code already skips the commit force for read-only transactions
-/// and never sends datagrams for a sole-writer commit. `Fast` makes
-/// those paths explicit: the single-participant 1PC branch gets its own
-/// crash points, counter and trace event, and read-only voter drop-out
-/// is confirmed against the lock manager's S-only classification and
-/// counted. `Full` is the pessimistic measurement baseline that
-/// suppresses both optimizations, so the `fastpath` bench can show what
-/// they save.
+/// `Fast` (the default) is the production path: a sole writer with no
+/// commit-tree children commits in one phase (one log force, zero 2PC
+/// datagrams — the paper's "1 Node, Write" row), and a participant with
+/// nothing stronger than S-locks votes read-only and drops out of phase
+/// 2. `Full` is the pessimistic measurement baseline that suppresses
+/// both optimizations, so the `fastpath` bench can show what they save.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitPathPolicy {
-    /// The seed commit path, byte for byte (the default).
-    #[default]
-    Seed,
-    /// Labeled fast paths: 1PC branch (crash points
+    /// 1PC for a sole writer (crash points
     /// `tm.1pc.before-force`/`after-force`, `tm.commit.1pc` counter) and
-    /// instrumented read-only drop-out (`tm.prepare.readonly` counter).
-    /// Observable force/datagram counts equal `Seed` by construction.
+    /// read-only voter drop-out (`tm.prepare.readonly` counter).
+    #[default]
     Fast,
     /// Full-2PC baseline: participants are prepared with
     /// [`CommitMsg::PrepareFull`] (forced prepare + phase 2 even when
@@ -234,34 +228,10 @@ pub enum CommitPathPolicy {
     Full,
 }
 
-/// How the Transaction Manager treats participants that belong to a
-/// declared replica set (a *quorum group*, registered with
-/// [`TransactionManager::set_quorum_groups`]).
-///
-/// Both switches default off, which preserves the seed protocol byte for
-/// byte: every child must vote and every yes-voter must acknowledge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplicationPolicy {
-    /// Phase 1: a missing vote from a suspected-unreachable group member
-    /// is waived once a majority of its group is durably prepared (the
-    /// group votes yes as one logical participant).
-    pub majority_vote: bool,
-    /// Phase 2: stop chasing acknowledgements from suspected-unreachable
-    /// group members (a surviving majority already has the decision; the
-    /// dead member learns it from recovery or cooperative termination).
-    pub abandon_dead_acks: bool,
-}
-
-impl ReplicationPolicy {
-    /// Both replication integrations enabled.
-    pub fn enabled() -> Self {
-        Self { majority_vote: true, abandon_dead_acks: true }
-    }
-}
-
 /// Crash-points the Transaction Manager fires (see `tabs_kernel::crash`):
 /// one per two-phase-commit state transition, plus the two sides of the
-/// single-participant 1PC commit force.
+/// single-participant 1PC commit force, which every sole-writer commit on
+/// a default cluster crosses.
 pub const CRASH_POINTS: &[&str] = &[
     "tm.prepare.sent",
     "tm.vote.logged",
@@ -301,18 +271,18 @@ pub struct TransactionManager {
     /// block (log forces, lock waits): reuses parked workers instead of
     /// spawning a thread per `Prepare`/`Commit`/`Abort`.
     workers: Arc<WorkerPool>,
-    /// Commit-path selection: seed, labeled fast paths, or the
-    /// pessimistic full-2PC baseline.
-    commit_paths: Mutex<CommitPathPolicy>,
-    /// `tm.commit.1pc`: single-participant one-phase commits taken (wired
-    /// only under the fast policy; `None` leaves the seed path untouched).
+    /// Whether the pessimistic full-2PC baseline
+    /// ([`CommitPathPolicy::Full`]) replaces the fast paths.
+    full_2pc: AtomicBool,
+    /// `tm.commit.1pc`: single-participant one-phase commits taken.
     one_pc_commits: Mutex<Option<Counter>>,
     /// `tm.prepare.readonly`: read-only votes this participant sent.
     readonly_votes: Mutex<Option<Counter>>,
-    /// Replica-set integration switches (both off = seed protocol).
-    replication: Mutex<ReplicationPolicy>,
+    /// Replica-set integration: majority vote waiver and dead-member ack
+    /// abandonment (off = every child votes and every yes-voter acks).
+    replication: AtomicBool,
     /// Declared replica sets (each a node-level group that votes as one
-    /// logical participant under [`ReplicationPolicy::majority_vote`]).
+    /// logical participant while replication is on).
     quorum_groups: Mutex<Vec<Vec<NodeId>>>,
     /// `tm.rep.quorum_commits`: commits that waived a dead group member.
     quorum_commits: Mutex<Option<Counter>>,
@@ -360,10 +330,10 @@ impl TransactionManager {
             recovered: AtomicBool::new(false),
             resolving: Mutex::new(HashSet::new()),
             workers: WorkerPool::new(&format!("tm-{}", node.0)),
-            commit_paths: Mutex::new(CommitPathPolicy::Seed),
+            full_2pc: AtomicBool::new(false),
             one_pc_commits: Mutex::new(None),
             readonly_votes: Mutex::new(None),
-            replication: Mutex::new(ReplicationPolicy::default()),
+            replication: AtomicBool::new(false),
             quorum_groups: Mutex::new(Vec::new()),
             quorum_commits: Mutex::new(None),
             acks_abandoned: Mutex::new(None),
@@ -372,19 +342,26 @@ impl TransactionManager {
         })
     }
 
-    /// Selects the replica-set policy. [`ReplicationPolicy::default`]
-    /// (both switches off) restores the seed protocol.
-    pub fn set_replication(&self, policy: ReplicationPolicy) {
-        *self.replication.lock() = policy;
+    /// Turns the replica-set integration on or off. When on, a missing
+    /// vote from a suspected-unreachable member of a registered quorum
+    /// group is waived once a majority of its group is durably prepared
+    /// (the group votes yes as one logical participant), and phase-2
+    /// acknowledgements from suspected-unreachable members are abandoned
+    /// instead of chased (a surviving majority already has the decision;
+    /// the dead member learns it from recovery or cooperative
+    /// termination). Off (the default): every child must vote and every
+    /// yes-voter must acknowledge.
+    pub fn set_replication(&self, enabled: bool) {
+        self.replication.store(enabled, Ordering::Relaxed);
     }
 
-    fn replication(&self) -> ReplicationPolicy {
-        *self.replication.lock()
+    fn replication(&self) -> bool {
+        self.replication.load(Ordering::Relaxed)
     }
 
     /// Registers the declared replica sets. Each group lists the nodes of
-    /// one replica set (leader plus followers); under
-    /// [`ReplicationPolicy::majority_vote`] the coordinator treats a group
+    /// one replica set (leader plus followers); with replication on (see
+    /// [`Self::set_replication`]) the coordinator treats a group
     /// as a single logical participant that has voted yes once a majority
     /// of its members is durably prepared.
     pub fn set_quorum_groups(&self, groups: Vec<Vec<NodeId>>) {
@@ -469,15 +446,12 @@ impl TransactionManager {
         self.quorum_groups.lock().iter().any(|g| g.contains(&node))
     }
 
-    /// Selects the commit-path policy. [`CommitPathPolicy::Seed`] (the
-    /// default) restores the historical path byte for byte.
+    /// Selects the commit-path policy: [`CommitPathPolicy::Fast`] (the
+    /// default) takes the 1PC and read-only fast paths,
+    /// [`CommitPathPolicy::Full`] forces every participant through both
+    /// phases as the `fastpath` bench's wire-level baseline.
     pub fn set_commit_paths(&self, policy: CommitPathPolicy) {
-        *self.commit_paths.lock() = policy;
-    }
-
-    /// Current commit-path policy.
-    pub fn commit_paths(&self) -> CommitPathPolicy {
-        *self.commit_paths.lock()
+        self.full_2pc.store(policy == CommitPathPolicy::Full, Ordering::Relaxed);
     }
 
     /// Wires the fast-path counters (`tm.commit.1pc` and
@@ -798,7 +772,7 @@ impl TransactionManager {
         };
 
         // Phase 1 (local): every enlisted server prepares each merged tid.
-        let policy = self.commit_paths();
+        let full = self.full_2pc.load(Ordering::Relaxed);
         let mut updates = false;
         for p in participants.values() {
             for t in &merged {
@@ -822,7 +796,7 @@ impl TransactionManager {
         let children: Vec<NodeId> = children.into_iter().collect();
         let mut remote_yes: Vec<NodeId> = Vec::new();
         if !children.is_empty() {
-            match self.collect_votes(tid, &merged, &children, policy == CommitPathPolicy::Full) {
+            match self.collect_votes(tid, &merged, &children, full) {
                 Ok((yes, any_updates)) => {
                     updates |= any_updates;
                     remote_yes = yes;
@@ -839,7 +813,7 @@ impl TransactionManager {
         // force below goes through the RM's batched commit path: with
         // group commit enabled, concurrent committers share one device
         // force.
-        if policy == CommitPathPolicy::Fast && updates && children.is_empty() {
+        if !full && updates && children.is_empty() {
             // Single-participant 1PC: this coordinator is the sole writer
             // (no commit-tree children registered), so a prepare phase
             // would protect nothing — the commit record alone is the
@@ -851,8 +825,8 @@ impl TransactionManager {
                 c.inc();
             }
             self.emit(tid, TraceEvent::CommitPath { one_phase: true, read_only: false });
-        } else if updates || policy == CommitPathPolicy::Full {
-            if policy == CommitPathPolicy::Full && local_updates {
+        } else if updates || full {
+            if full && local_updates {
                 // Pessimistic baseline: the coordinator's own writes pay
                 // the forced participant prepare record that the 1PC path
                 // proves unnecessary.
@@ -891,12 +865,12 @@ impl TransactionManager {
     /// every child and waits for all votes, with retransmission. Returns
     /// (yes-voters, any-updates).
     ///
-    /// Under [`ReplicationPolicy::majority_vote`], a child that belongs
-    /// to a registered quorum group and is suspected unreachable has its
-    /// missing vote waived once a majority of its group is durably
-    /// prepared: the group voted yes as one logical participant, so the
-    /// commit proceeds on the surviving members. A live `No` still aborts
-    /// — the waiver only stands in for silence, never for refusal.
+    /// With replication on, a child that belongs to a registered quorum
+    /// group and is suspected unreachable has its missing vote waived
+    /// once a majority of its group is durably prepared: the group voted
+    /// yes as one logical participant, so the commit proceeds on the
+    /// surviving members. A live `No` still aborts — the waiver only
+    /// stands in for silence, never for refusal.
     fn collect_votes(
         &self,
         tid: Tid,
@@ -907,11 +881,8 @@ impl TransactionManager {
         let transport = self.transport();
         let timeouts = self.timeouts();
         let deadline = Instant::now() + timeouts.vote_deadline;
-        let groups: Vec<Vec<NodeId>> = if self.replication().majority_vote {
-            self.quorum_groups.lock().clone()
-        } else {
-            Vec::new()
-        };
+        let groups: Vec<Vec<NodeId>> =
+            if self.replication() { self.quorum_groups.lock().clone() } else { Vec::new() };
         let msg = if full {
             CommitMsg::PrepareFull { tid, merged: merged.to_vec() }
         } else {
@@ -1049,7 +1020,7 @@ impl TransactionManager {
         // of chased to the ack deadline: their surviving replicas hold the
         // data, and the dead member resolves the outcome from the durable
         // decision record when it rejoins.
-        let abandon = self.replication().abandon_dead_acks;
+        let abandon = self.replication();
         let mut abandoned: HashSet<NodeId> = HashSet::new();
         let mut inner = self.inner.lock();
         loop {
@@ -1369,12 +1340,10 @@ impl TransactionManager {
                     p.finish(*t, true);
                 }
             }
-            if self.commit_paths() == CommitPathPolicy::Fast {
-                if let Some(c) = self.readonly_votes.lock().as_ref() {
-                    c.inc();
-                }
-                self.emit(tid, TraceEvent::CommitPath { one_phase: false, read_only: true });
+            if let Some(c) = self.readonly_votes.lock().as_ref() {
+                c.inc();
             }
+            self.emit(tid, TraceEvent::CommitPath { one_phase: false, read_only: true });
             self.send_traced(&transport, from, CommitMsg::VoteReadOnly { tid, from: self.node });
         }
     }
@@ -2052,7 +2021,6 @@ mod tests {
     #[test]
     fn fast_policy_sole_writer_commits_in_one_phase() {
         let (tm, rm, _p) = make_tm(NodeId(1));
-        tm.set_commit_paths(CommitPathPolicy::Fast);
         let one_pc = Counter::default();
         let read_only = Counter::default();
         tm.set_fastpath_metrics(one_pc.clone(), read_only.clone());
@@ -2073,8 +2041,6 @@ mod tests {
     #[test]
     fn fast_policy_read_only_voter_matches_seed_wire_traffic() {
         let (tm1, tm2, t1, t2, rm1, rm2) = two_node_rig();
-        tm1.set_commit_paths(CommitPathPolicy::Fast);
-        tm2.set_commit_paths(CommitPathPolicy::Fast);
         let read_only = Counter::default();
         tm2.set_fastpath_metrics(Counter::default(), read_only.clone());
         t1.set_children(vec![NodeId(2)]);
@@ -2082,8 +2048,9 @@ mod tests {
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2);
         assert!(tm1.end(t).unwrap());
-        // Identical observable behaviour to the seed path: no records,
-        // one Prepare out, one VoteReadOnly back — plus the counter.
+        // The read-only voter drops out with the minimal wire traffic: no
+        // records, one Prepare out, one VoteReadOnly back — plus the
+        // counter.
         assert!(rm1.log().durable_entries().is_empty());
         assert!(rm2.log().durable_entries().is_empty());
         let sent1 = t1.sent.lock().clone();
@@ -2101,7 +2068,7 @@ mod tests {
         // follower, node 3 is dead. Two of three are durable, so the
         // missing vote is waived and the commit proceeds.
         let (tm1, tm2, t1, _t2, rm1, _rm2) = two_node_rig();
-        tm1.set_replication(ReplicationPolicy::enabled());
+        tm1.set_replication(true);
         tm1.set_quorum_groups(vec![vec![NodeId(1), NodeId(2), NodeId(3)]]);
         let quorum = Counter::default();
         tm1.set_replication_metrics(quorum.clone(), Counter::default());
@@ -2139,7 +2106,7 @@ mod tests {
         // presume-abort must win over the quorum waiver: committing would
         // silently drop the dead node's unreplicated writes.
         let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
-        tm1.set_replication(ReplicationPolicy::enabled());
+        tm1.set_replication(true);
         tm1.set_quorum_groups(vec![vec![NodeId(1), NodeId(2), NodeId(3)]]);
         tm1.set_timeouts(TmTimeouts {
             retransmit: Duration::from_millis(10),
@@ -2173,7 +2140,7 @@ mod tests {
         // 3's No vote lands — the waiver must notice it on re-lock and
         // abort: it stands in for silence, never for refusal.
         let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
-        tm1.set_replication(ReplicationPolicy::enabled());
+        tm1.set_replication(true);
         tm1.set_quorum_groups(vec![vec![NodeId(1), NodeId(2), NodeId(3)]]);
         t1.set_children(vec![NodeId(2), NodeId(3)]);
         t1.mark_dead(NodeId(3));
@@ -2208,7 +2175,7 @@ mod tests {
         // Replica set {2, 3} without the coordinator: node 3 is dead and
         // node 2 alone is not a majority, so the seed fast-abort fires.
         let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
-        tm1.set_replication(ReplicationPolicy::enabled());
+        tm1.set_replication(true);
         tm1.set_quorum_groups(vec![vec![NodeId(2), NodeId(3)]]);
         tm1.set_timeouts(TmTimeouts {
             retransmit: Duration::from_millis(10),
@@ -2239,7 +2206,7 @@ mod tests {
         // the coordinator abandons the chase instead of spinning to the
         // ack deadline (the rejoining member resolves from the record).
         let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
-        tm1.set_replication(ReplicationPolicy::enabled());
+        tm1.set_replication(true);
         tm1.set_quorum_groups(vec![vec![NodeId(1), NodeId(2)]]);
         let abandoned = Counter::default();
         tm1.set_replication_metrics(Counter::default(), abandoned.clone());

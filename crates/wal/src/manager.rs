@@ -45,7 +45,7 @@ impl std::error::Error for WalError {}
 /// The group-commit window: how long a batch leader may wait for peer
 /// committers and how many it collects before forcing regardless.
 ///
-/// Commit-path forces ([`LogManager::force_batched`]) from concurrent
+/// Commit-path forces ([`LogManager::append_commit`]) from concurrent
 /// committers are amortized into one device force per window. A lone
 /// committer is delayed at most `max_delay`; a window that fills to
 /// `max_batch` queued committers forces immediately.
@@ -112,6 +112,10 @@ pub struct LogManager {
     group: Mutex<GroupState>,
     group_cv: Condvar,
     group_metrics: Mutex<Option<GroupMetrics>>,
+    /// Serializes [`LogManager::append_commit`] while group commit is
+    /// disabled, so no commit record is appended between another's
+    /// append and force.
+    commit_serial: Mutex<()>,
 }
 
 /// Crash-points the log manager fires (see `tabs_kernel::crash`). The
@@ -176,12 +180,13 @@ impl LogManager {
             group: Mutex::new(GroupState { high: Lsn::ZERO, waiters: 0, leader_active: false }),
             group_cv: Condvar::new(),
             group_metrics: Mutex::new(None),
+            commit_serial: Mutex::new(()),
         })
     }
 
     /// Enables (`Some`) or disables (`None`) the group-commit window for
-    /// [`LogManager::force_batched`]. Disabled, the batched entry point is
-    /// byte-identical to [`LogManager::force`] — the seed commit path.
+    /// [`LogManager::append_commit`]. Disabled, every commit record pays
+    /// its own device force.
     pub fn set_group_commit(&self, cfg: Option<GroupCommitConfig>) {
         *self.group_cfg.lock() = cfg;
     }
@@ -287,7 +292,7 @@ impl LogManager {
     /// This is the *immediate* force path — recovery, checkpointing and
     /// the write-ahead-log gate need durability right now, with no batch
     /// window. Commit-path callers (commit and prepare records) should go
-    /// through [`LogManager::force_batched`] instead so concurrent
+    /// through [`LogManager::append_commit`] instead so concurrent
     /// committers share one device force.
     pub fn append_forced(&self, record: LogRecord) -> Result<Lsn, WalError> {
         let lsn = self.append(record);
@@ -295,13 +300,32 @@ impl LogManager {
         Ok(lsn)
     }
 
-    /// Commit-path force: blocks until a force covering `lsn` has
-    /// returned, sharing one device force among every committer queued in
-    /// the same group-commit window.
+    /// The commit path: appends a commit or prepare record and blocks
+    /// until a force covering it has returned.
     ///
-    /// With group commit disabled this is exactly `force(Some(lsn))` —
-    /// the seed path, byte-identical primitive counts. Enabled, the first
-    /// arriving committer becomes the batch *leader* (leader-piggyback:
+    /// With group commit disabled, the append and its force run under one
+    /// serializing lock, so a concurrent committer's force never covers
+    /// this record before its own force runs: every commit record pays
+    /// exactly one device force (the Table 5-3 charge), the baseline group
+    /// commit is measured against. Enabled, the force is shared with peer
+    /// committers queued in the same window.
+    pub fn append_commit(&self, record: LogRecord) -> Result<Lsn, WalError> {
+        let Some(cfg) = *self.group_cfg.lock() else {
+            let _serial = self.commit_serial.lock();
+            let lsn = self.append(record);
+            self.force(Some(lsn))?;
+            return Ok(lsn);
+        };
+        let lsn = self.append(record);
+        self.force_batched(lsn, cfg)?;
+        Ok(lsn)
+    }
+
+    /// Group-commit force: blocks until a force covering `lsn` has
+    /// returned, sharing one device force among every committer queued in
+    /// the same group-commit window `cfg`.
+    ///
+    /// The first arriving committer becomes the batch *leader* (leader-piggyback:
     /// no dedicated batcher thread): it waits up to the configured
     /// `max_delay` for peers — returning early once `max_batch` are
     /// queued — then issues one `device.force()` covering the highest
@@ -309,10 +333,7 @@ impl LogManager {
     /// argument is the ticket: this call returns `Ok` only after a force
     /// covering `lsn` has returned from the device, so a transaction
     /// reported committed is always on stable storage.
-    pub fn force_batched(&self, lsn: Lsn) -> Result<Lsn, WalError> {
-        let Some(cfg) = *self.group_cfg.lock() else {
-            return self.force(Some(lsn));
-        };
+    fn force_batched(&self, lsn: Lsn, cfg: GroupCommitConfig) -> Result<Lsn, WalError> {
         let mut g = self.group.lock();
         g.waiters += 1;
         if g.high < lsn {
@@ -607,7 +628,7 @@ mod tests {
         // The commit record is gone: forcing over it must keep failing,
         // while forces the durable prefix already covers still succeed.
         assert!(lm.force(Some(b)).is_err(), "lost records must never report durable");
-        assert!(lm.force_batched(b).is_err());
+        assert!(lm.force_batched(b, GroupCommitConfig::default()).is_err());
         assert_eq!(lm.force(Some(a)).unwrap(), a);
         assert_eq!(lm.durable_lsn(), a);
     }
@@ -633,9 +654,9 @@ mod tests {
 
     #[test]
     fn force_batched_without_config_matches_seed_path() {
-        // Group commit disabled (the default): force_batched is exactly
-        // force(Some(lsn)) — one stable-storage write per data-moving
-        // force, no batch metrics, no batched trace events.
+        // Group commit disabled (the default): append_commit is one
+        // stable-storage write per commit record, no batch metrics, no
+        // batched trace events.
         let dev = MemLogDevice::new(1 << 20);
         let perf = PerfCounters::new();
         let lm = LogManager::open(dev as Arc<dyn LogDevice>, Arc::clone(&perf)).unwrap();
@@ -645,8 +666,7 @@ mod tests {
         let batched_commits = Counter::default();
         lm.set_group_metrics(batches.clone(), batched_commits.clone());
         for i in 1..=3 {
-            let lsn = lm.append(LogRecord::Commit { tid: tid(i) });
-            lm.force_batched(lsn).unwrap();
+            lm.append_commit(LogRecord::Commit { tid: tid(i) }).unwrap();
         }
         assert_eq!(perf.get(PrimitiveOp::StableStorageWrite), 3);
         assert_eq!(batches.get(), 0);
@@ -655,6 +675,38 @@ mod tests {
             .snapshot()
             .iter()
             .any(|r| matches!(r.event, TraceEvent::LogForceBatched { .. })));
+    }
+
+    #[test]
+    fn unbatched_concurrent_committers_each_pay_one_force() {
+        // Group commit disabled: a committer's force must never be
+        // satisfied by a peer's force that happened to cover its record,
+        // so N concurrent commit records cost exactly N device forces.
+        const COMMITTERS: u64 = 8;
+        const ROUNDS: u64 = 5;
+        // A slow force widens the window in which peers append behind a
+        // committer that has not yet forced.
+        let dev = crate::device::LatencyLogDevice::new(1 << 20, Duration::from_millis(1));
+        let perf = PerfCounters::new();
+        let lm = Arc::new(LogManager::open(dev as Arc<dyn LogDevice>, Arc::clone(&perf)).unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(COMMITTERS as usize));
+        let handles: Vec<_> = (1..=COMMITTERS)
+            .map(|i| {
+                let lm = Arc::clone(&lm);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for r in 0..ROUNDS {
+                        let lsn = lm.append_commit(LogRecord::Commit { tid: tid(i * 1000 + r) });
+                        assert!(lm.durable_lsn() >= lsn.unwrap());
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("committer");
+        }
+        assert_eq!(perf.get(PrimitiveOp::StableStorageWrite), COMMITTERS * ROUNDS);
     }
 
     #[test]
@@ -667,10 +719,8 @@ mod tests {
             max_delay: Duration::from_millis(50),
             max_batch: 64,
         }));
-        let lsn = lm.append(LogRecord::Commit { tid: tid(1) });
         let start = Instant::now();
-        let durable = lm.force_batched(lsn).unwrap();
-        assert!(durable >= lsn);
+        let lsn = lm.append_commit(LogRecord::Commit { tid: tid(1) }).unwrap();
         assert_eq!(lm.durable_lsn(), lsn);
         assert!(
             start.elapsed() < Duration::from_secs(2),
@@ -701,8 +751,8 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let lsn = lm.append(LogRecord::Commit { tid: tid(i) });
-                    lm.force_batched(lsn).map(|durable| (lsn, durable))
+                    let lsn = lm.append_commit(LogRecord::Commit { tid: tid(i) })?;
+                    Ok::<_, WalError>((lsn, lm.durable_lsn()))
                 })
             })
             .collect();

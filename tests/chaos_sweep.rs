@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 
 use tabs_chaos::{
-    registry, ChaosRunner, FASTPATH_POINTS, GROUP_COMMIT_POINTS, MIGRATION_POINTS,
-    REPLICATION_POINTS, SINGLE_NODE_POINTS,
+    registry, ChaosRunner, GROUP_COMMIT_POINTS, MIGRATION_POINTS, REPLICATION_POINTS,
+    SINGLE_NODE_POINTS,
 };
 
 /// Fixed sweep seed: sweeps are exhaustive over crash points, so the seed
@@ -35,15 +35,6 @@ fn crash_point_sweeps_cover_the_entire_registry() {
         assert!(
             group.contains(p),
             "seed={SEED} crash_point={p} armed on the group-commit workload but never killed \
-             the node"
-        );
-    }
-
-    let fastpath = runner.sweep_fastpath().unwrap_or_else(|e| panic!("{e}"));
-    for &p in FASTPATH_POINTS {
-        assert!(
-            fastpath.contains(p),
-            "seed={SEED} crash_point={p} armed on the 1PC fast-path workload but never killed \
              the node"
         );
     }
@@ -73,7 +64,6 @@ fn crash_point_sweeps_cover_the_entire_registry() {
     // is a test failure, not a silent gap.
     let mut killed: BTreeSet<&str> = single.into_iter().collect();
     killed.extend(group);
-    killed.extend(fastpath);
     killed.extend(distributed);
     killed.extend(migration);
     killed.extend(replication);

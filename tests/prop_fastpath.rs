@@ -1,13 +1,14 @@
 //! Property tests for the commit fast paths: whatever schedule of
 //! transfers and audits a seed derives,
 //!
-//! 1. a sole-writer commit under [`CommitPathPolicy::Fast`] costs
-//!    exactly one log force and zero 2PC datagrams (the 1PC path),
+//! 1. a sole-writer commit on a default cluster costs exactly one log
+//!    force and zero 2PC datagrams (the 1PC path),
 //! 2. a read-only participant's WAL is byte-for-byte untouched across
 //!    prepare (the read-only voter drop-out), and
-//! 3. the fast paths are observationally equivalent to the seed path:
-//!    the same schedule produces the same outcomes and final balances
-//!    with the policy on or off (the differential oracle).
+//! 3. the fast paths are observationally equivalent to full two-phase
+//!    commit: the same schedule produces the same outcomes and final
+//!    balances under [`CommitPathPolicy::Fast`] and
+//!    [`CommitPathPolicy::Full`] (the differential oracle).
 
 mod common;
 
@@ -33,8 +34,8 @@ struct Rig {
     _keep: Vec<Box<dyn std::any::Any>>,
 }
 
-fn rig(policy: CommitPathPolicy) -> Rig {
-    let cluster = Cluster::with_config(ClusterConfig::default().commit_paths(policy));
+fn rig(config: ClusterConfig) -> Rig {
+    let cluster = Cluster::with_config(config);
     let n1 = cluster.boot_node(NodeId(1));
     let n2 = cluster.boot_node(NodeId(2));
     let la = IntArrayServer::spawn(&n1, "pf-local", CELLS).expect("local array");
@@ -73,7 +74,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Runs a schedule under `policy` and returns every observable: the
 /// per-transaction outcomes and both arrays' final balances.
 fn run_schedule(policy: CommitPathPolicy, ops: &[Op]) -> (Vec<bool>, Vec<i64>, Vec<i64>) {
-    let r = rig(policy);
+    let r = rig(ClusterConfig::default().commit_paths(policy));
     let app = r.n1.app();
     let mut outcomes = Vec::new();
     for &(kind, from, to, amount) in ops {
@@ -117,14 +118,14 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Every sole-writer commit under `Fast` is a 1PC: exactly one log
-    /// force on the coordinator, nothing on the participant node, and
-    /// zero datagrams anywhere.
+    /// Every sole-writer commit on a default cluster is a 1PC: exactly
+    /// one log force on the coordinator, nothing on the participant
+    /// node, and zero datagrams anywhere.
     #[test]
     fn sole_writer_commit_is_one_force_and_zero_datagrams(
         transfers in proptest::collection::vec((0..CELLS, 0..CELLS, 1..5i64), 1..6)
     ) {
-        let r = rig(CommitPathPolicy::Fast);
+        let r = rig(ClusterConfig::default());
         let app = r.n1.app();
         for (from, to, amount) in transfers {
             let meter = AccountingMeter::start(&r.cluster, &[NodeId(1), NodeId(2)]);
@@ -150,7 +151,7 @@ proptest! {
     fn read_only_participant_wal_is_untouched(
         audits in proptest::collection::vec((0..CELLS, 0..CELLS), 1..8)
     ) {
-        let r = rig(CommitPathPolicy::Fast);
+        let r = rig(ClusterConfig::default());
         let app = r.n1.app();
         let wal_before = r.n2.rm.log().all_entries().len();
         let meter = AccountingMeter::start(&r.cluster, &[NodeId(2)]);
@@ -174,14 +175,15 @@ proptest! {
     }
 
     /// Differential oracle: the fast paths change costs, never outcomes.
-    /// The same schedule under `Seed` and under `Fast` yields identical
+    /// The same schedule under `Full` (prepare forced everywhere, phase 2
+    /// to every participant) and under `Fast` yields identical
     /// per-transaction results and identical final balances.
     #[test]
-    fn fast_paths_are_observationally_equivalent_to_seed(
+    fn fast_paths_are_observationally_equivalent_to_full_2pc(
         ops in proptest::collection::vec(op_strategy(), 1..10)
     ) {
-        let seed_run = run_schedule(CommitPathPolicy::Seed, &ops);
+        let full_run = run_schedule(CommitPathPolicy::Full, &ops);
         let fast_run = run_schedule(CommitPathPolicy::Fast, &ops);
-        prop_assert_eq!(seed_run, fast_run, "fast paths diverged from the seed path");
+        prop_assert_eq!(full_run, fast_run, "fast paths diverged from full 2PC");
     }
 }
